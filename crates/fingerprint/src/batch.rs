@@ -15,6 +15,10 @@
 //! at the 32-byte transaction granularity real devices use, an 8× penalty
 //! per logical byte. Block-per-read performs `log2(l)` coalesced passes via
 //! shared memory. The `fingerprint` ablation bench shows the resulting gap.
+//!
+//! What executes on the CPU is the same for both: the O(n) pass of
+//! [`RabinKarp::fingerprints_into`] per read, as the vgpu radix and merge
+//! kernels also run sequential CPU code charged at a GPU-shaped cost.
 
 use crate::scan::RabinKarp;
 use crate::Fingerprint128;
@@ -30,15 +34,29 @@ pub enum FingerprintScheme {
     BlockPerRead,
 }
 
-/// Fingerprints of one batch: `prefix[r][i]` is the fingerprint of read
-/// `r`'s `(i+1)`-length prefix, `suffix[r][i]` of its suffix starting at
-/// `i`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Fingerprints of one batch of same-length reads, stored flat: row `r`
+/// occupies `[r·read_len, (r+1)·read_len)` of each buffer. In
+/// [`BatchOutput::prefix`] row `r`, index `i` is read `r`'s `(i+1)`-length
+/// prefix; in [`BatchOutput::suffix`] row `r`, index `i` is its suffix
+/// starting at `i`. The buffers keep their capacity across
+/// [`batch_fingerprints_into`] calls.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct BatchOutput {
-    /// Per-read prefix fingerprints.
-    pub prefix: Vec<Vec<Fingerprint128>>,
-    /// Per-read suffix fingerprints.
-    pub suffix: Vec<Vec<Fingerprint128>>,
+    read_len: usize,
+    prefix: Vec<Fingerprint128>,
+    suffix: Vec<Fingerprint128>,
+}
+
+impl BatchOutput {
+    /// Prefix fingerprints of read `r`.
+    pub fn prefix(&self, r: usize) -> &[Fingerprint128] {
+        &self.prefix[r * self.read_len..(r + 1) * self.read_len]
+    }
+
+    /// Suffix fingerprints of read `r`.
+    pub fn suffix(&self, r: usize) -> &[Fingerprint128] {
+        &self.suffix[r * self.read_len..(r + 1) * self.read_len]
+    }
 }
 
 /// Uncoalesced global-memory transaction size on real devices.
@@ -77,27 +95,63 @@ pub fn batch_fingerprints(
     batch: &[Vec<u8>],
     scheme: FingerprintScheme,
 ) -> BatchOutput {
-    let read_len = batch.first().map_or(0, |r| r.len());
+    let read_len = batch.first().map_or(0, Vec::len);
+    assert!(
+        batch.iter().all(|r| r.len() == read_len),
+        "batch reads must share one length"
+    );
+    let mut out = BatchOutput::default();
+    batch_fingerprints_into(device, rk, &batch.concat(), batch.len(), scheme, &mut out);
+    out
+}
+
+/// [`batch_fingerprints`] over `reads` reads stored flat in `codes` (read
+/// `r` at `[r·len, (r+1)·len)`), writing into `out` and reusing its
+/// buffers.
+pub fn batch_fingerprints_into(
+    device: &Device,
+    rk: &RabinKarp,
+    codes: &[u8],
+    reads: usize,
+    scheme: FingerprintScheme,
+    out: &mut BatchOutput,
+) {
+    let read_len = codes.len().checked_div(reads).unwrap_or(0);
+    assert_eq!(
+        codes.len(),
+        reads * read_len,
+        "codes must hold `reads` reads of one length"
+    );
     device.charge_kernel(
         match scheme {
             FingerprintScheme::ThreadPerRead => "fingerprint_thread_per_read",
             FingerprintScheme::BlockPerRead => "fingerprint_block_per_read",
         },
-        scheme_cost(scheme, batch.len(), read_len),
+        scheme_cost(scheme, reads, read_len),
     );
-    // One rayon task per block (= per read), mirroring grid-of-blocks
-    // execution; the scan inside is the simulated lock-step of the block.
-    let results: Vec<(Vec<Fingerprint128>, Vec<Fingerprint128>)> = batch
-        .par_iter()
-        .map(|codes| rk.all_fingerprints(codes))
-        .collect();
-    let mut prefix = Vec::with_capacity(results.len());
-    let mut suffix = Vec::with_capacity(results.len());
-    for (p, s) in results {
-        prefix.push(p);
-        suffix.push(s);
+    out.read_len = read_len;
+    out.prefix.resize(codes.len(), 0);
+    out.suffix.resize(codes.len(), 0);
+    if codes.is_empty() {
+        return;
     }
-    BatchOutput { prefix, suffix }
+    // A few contiguous runs of rows per worker thread, mirroring
+    // grid-of-blocks execution; each row is one block's read.
+    let span = reads.div_ceil(4 * rayon::current_num_threads()) * read_len;
+    let mut tasks: Vec<_> = codes
+        .chunks(span)
+        .zip(out.prefix.chunks_mut(span))
+        .zip(out.suffix.chunks_mut(span))
+        .collect();
+    tasks.par_iter_mut().for_each(|((codes, prefix), suffix)| {
+        let rows = codes
+            .chunks(read_len)
+            .zip(prefix.chunks_mut(read_len))
+            .zip(suffix.chunks_mut(read_len));
+        for ((c, p), s) in rows {
+            rk.fingerprints_into(c, p, s);
+        }
+    });
 }
 
 #[cfg(test)]
@@ -120,8 +174,8 @@ mod tests {
         let a = batch_fingerprints(&dev, &rk, &batch(), FingerprintScheme::ThreadPerRead);
         let b = batch_fingerprints(&dev, &rk, &batch(), FingerprintScheme::BlockPerRead);
         assert_eq!(a, b);
-        assert_eq!(a.prefix.len(), 3);
-        assert_eq!(a.prefix[0].len(), 8);
+        assert_eq!(a.prefix(0).len(), 8);
+        assert_eq!(a.suffix(2).len(), 8);
     }
 
     #[test]
@@ -131,9 +185,37 @@ mod tests {
         let out = batch_fingerprints(&dev, &rk, &batch(), FingerprintScheme::BlockPerRead);
         for (i, codes) in batch().iter().enumerate() {
             let (p, s) = rk.all_fingerprints(codes);
-            assert_eq!(out.prefix[i], p);
-            assert_eq!(out.suffix[i], s);
+            assert_eq!(out.prefix(i), p);
+            assert_eq!(out.suffix(i), s);
         }
+    }
+
+    #[test]
+    fn reused_buffers_give_the_fresh_result() {
+        let dev = Device::new(GpuProfile::k40());
+        let rk = RabinKarp::new(100);
+        let long: Vec<Vec<u8>> = (0..37).map(|i| vec![(i % 4) as u8; 100]).collect();
+        let short: Vec<Vec<u8>> = (0..5).map(|i| vec![(i % 3) as u8; 60]).collect();
+        let mut out = BatchOutput::default();
+        for batch in [&long, &short, &long] {
+            let codes = batch.concat();
+            let scheme = FingerprintScheme::BlockPerRead;
+            batch_fingerprints_into(&dev, &rk, &codes, batch.len(), scheme, &mut out);
+            assert_eq!(out, batch_fingerprints(&dev, &rk, batch, scheme));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "batch reads must share one length")]
+    fn mixed_read_lengths_panic() {
+        let dev = Device::new(GpuProfile::k40());
+        let batch = vec![vec![0; 8], vec![0; 7]];
+        batch_fingerprints(
+            &dev,
+            &RabinKarp::new(8),
+            &batch,
+            FingerprintScheme::BlockPerRead,
+        );
     }
 
     #[test]
@@ -159,7 +241,7 @@ mod tests {
         let dev = Device::new(GpuProfile::k40());
         let rk = RabinKarp::new(8);
         let out = batch_fingerprints(&dev, &rk, &[], FingerprintScheme::BlockPerRead);
-        assert!(out.prefix.is_empty() && out.suffix.is_empty());
+        assert_eq!(out, BatchOutput::default());
         assert_eq!(dev.stats().kernel_launches, 1);
     }
 }

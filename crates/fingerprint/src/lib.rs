@@ -9,6 +9,12 @@
 //! (Fig. 6): `S[i] = (F − P[i−1]·σ^(n−i)) mod q` where `F` is the full-read
 //! hash.
 //!
+//! The device model charges that scan (`log2(l)` steps per read), and
+//! [`RabinKarp::scan_steps`] replays it step by step. The kernel that runs
+//! on the CPU, [`RabinKarp::fingerprints_into`], computes the same prefix
+//! hashes in one O(n) Horner pass and the suffixes with the Fig. 6 step,
+//! both hash sets together.
+//!
 //! Following Section IV-B, a fingerprint is **two independent 64-bit
 //! hashes** (different radixes and prime moduli) packed into a `u128` —
 //! wide enough that the paper observed zero false-positive edges, a claim
@@ -19,7 +25,7 @@ pub mod batch;
 pub mod params;
 pub mod scan;
 
-pub use batch::{batch_fingerprints, BatchOutput, FingerprintScheme};
+pub use batch::{batch_fingerprints, batch_fingerprints_into, BatchOutput, FingerprintScheme};
 pub use params::{HashParams, PlaceValues};
 pub use scan::RabinKarp;
 
@@ -32,18 +38,6 @@ pub fn pack(h0: u64, h1: u64) -> Fingerprint128 {
     ((h0 as u128) << 64) | h1 as u128
 }
 
-/// Keep only the `bits` most significant bits of a fingerprint (used by the
-/// fingerprint-width ablation to emulate narrower hashes; `bits = 128` is
-/// the identity).
-pub fn truncate_bits(fp: Fingerprint128, bits: u32) -> Fingerprint128 {
-    assert!((1..=128).contains(&bits), "bits must be in 1..=128");
-    if bits == 128 {
-        fp
-    } else {
-        fp >> (128 - bits)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -53,19 +47,5 @@ mod tests {
         let fp = pack(0xAAAA, 0xBBBB);
         assert_eq!((fp >> 64) as u64, 0xAAAA);
         assert_eq!(fp as u64, 0xBBBB);
-    }
-
-    #[test]
-    fn truncate_keeps_high_bits() {
-        let fp = pack(u64::MAX, 0);
-        assert_eq!(truncate_bits(fp, 64), u64::MAX as u128);
-        assert_eq!(truncate_bits(fp, 128), fp);
-        assert_eq!(truncate_bits(fp, 1), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "bits must be in 1..=128")]
-    fn truncate_zero_bits_panics() {
-        truncate_bits(1, 0);
     }
 }

@@ -2,15 +2,15 @@
 //! III-A).
 //!
 //! Batches of reads are staged on the device; each read *and its reverse
-//! complement* (vertices `2i` / `2i+1`) is fingerprinted — all prefixes via
-//! the Hillis-Steele scan, all suffixes derived from them — and the
+//! complement* (vertices `2i` / `2i+1`) is fingerprinted — all prefixes and
+//! all suffixes derived from them (see `fingerprint::batch`) — and the
 //! `(fingerprint, vertex)` tuples are routed into per-length partition
 //! files. Lengths below `l_min` and the full read length are dropped (the
 //! latter would create self-loops).
 
 use crate::config::AssemblyConfig;
 use crate::Result;
-use fingerprint::{batch_fingerprints, truncate_bits, RabinKarp};
+use fingerprint::{batch_fingerprints_into, BatchOutput, RabinKarp};
 use genome::ReadSet;
 use gstream::spill::{PartitionKind, PartitionSet, SpillDir};
 use gstream::{HostMem, KvPair};
@@ -110,8 +110,13 @@ pub fn run_range_traced(
     let device_cap = (device.capacity() as usize * 9 / 10 / per_read_device_bytes).max(1);
     let host_cap = (host.capacity() as usize / (n * 2) / 2).max(1);
     let batch_reads = config.map_batch_reads.min(host_cap).min(device_cap);
+    // Width truncation keeps the top bits; `validate` bounds the width to
+    // 1..=128, so the shift is in 0..=127.
+    let shift = 128 - config.fingerprint_bits;
+    // Staging and output buffers, reused by every batch.
     let mut codes_buf: Vec<u8> = Vec::new();
-    let mut batch: Vec<Vec<u8>> = Vec::with_capacity(batch_reads * 2);
+    let mut batch: Vec<u8> = Vec::with_capacity(batch_reads * 2 * n);
+    let mut out = BatchOutput::default();
 
     let mut batches = 0u64;
     let mut read_idx = start;
@@ -123,31 +128,44 @@ pub fn run_range_traced(
         let _host_guard = host.reserve(((batch_end - read_idx) * n * 2) as u64)?;
         let _device_staging = device.alloc::<u8>((batch_end - read_idx) * per_read_device_bytes)?;
 
+        // Strand b of the batch is vertex 2·read_idx + b: forward strands
+        // are even, reverse complements odd.
         batch.clear();
         for i in read_idx..batch_end {
             reads.read_codes_into(i, &mut codes_buf);
-            batch.push(codes_buf.clone()); // vertex 2i (forward)
-            let rc: Vec<u8> = codes_buf.iter().rev().map(|&c| c ^ 3).collect();
-            batch.push(rc); // vertex 2i + 1 (reverse complement)
+            batch.extend_from_slice(&codes_buf);
+            batch.extend(codes_buf.iter().rev().map(|&c| c ^ 3));
         }
+        let strands = 2 * (batch_end - read_idx);
 
         // The reads travel to the device 2-bit packed; the kept tuples come
         // back as (16 B fingerprint + 4 B vertex) per partition entry.
         let kept_lengths = (config.l_max - config.l_min) as u64;
         device.charge_transfer(
-            (batch.len() * n) as u64 / 4,
-            batch.len() as u64 * kept_lengths * 2 * KvPair::BYTES as u64,
+            (strands * n) as u64 / 4,
+            strands as u64 * kept_lengths * 2 * KvPair::BYTES as u64,
         );
 
-        let out = batch_fingerprints(device, &rk, &batch, config.fingerprint_scheme);
+        batch_fingerprints_into(
+            device,
+            &rk,
+            &batch,
+            strands,
+            config.fingerprint_scheme,
+            &mut out,
+        );
 
-        for (b, (prefix, suffix)) in out.prefix.iter().zip(out.suffix.iter()).enumerate() {
-            let vertex = ((read_idx + b / 2) * 2 + (b & 1)) as u32;
-            for l in config.l_min..config.l_max {
-                // Suffix of length l starts at position n − l; prefix of
-                // length l ends at position l − 1.
-                let sfx = truncate_bits(suffix[n - l as usize], config.fingerprint_bits);
-                let pfx = truncate_bits(prefix[l as usize - 1], config.fingerprint_bits);
+        // Length-major: every strand's tuple for one length, in strand
+        // order, before the next length. Each partition file receives its
+        // tuples in the same order as strand-major routing would.
+        for l in config.l_min..config.l_max {
+            // Suffix of length l starts at position n − l; prefix of
+            // length l ends at position l − 1.
+            let (sfx_at, pfx_at) = (n - l as usize, l as usize - 1);
+            for b in 0..strands {
+                let vertex = (2 * read_idx + b) as u32;
+                let sfx = out.suffix(b)[sfx_at] >> shift;
+                let pfx = out.prefix(b)[pfx_at] >> shift;
                 partitions.write(PartitionKind::Suffix, l, KvPair::new(sfx, vertex))?;
                 partitions.write(PartitionKind::Prefix, l, KvPair::new(pfx, vertex))?;
             }
@@ -283,6 +301,65 @@ mod tests {
             .read_all()
             .unwrap();
         assert!(sfx.iter().all(|p| p.key < (1 << 16)));
+    }
+
+    #[test]
+    fn spill_files_hold_direct_fingerprints_in_strand_order() {
+        let (_g, device, host, spill) = setup();
+        // Overlaps of 40 bases and more: σ^l exceeds q from l = 28 on, so
+        // the high hash words wrap and spread over the key space.
+        let genome = GenomeSim::uniform(2000, 5).generate();
+        let reads = ShotgunSim::error_free(64, 4.0, 6).sample(&genome);
+        let mut config = AssemblyConfig::for_dataset(40, 64);
+        // Truncated keys (ranges split the top 32 key bits, so one bit
+        // less still spreads them over two of the three ranges), and
+        // several batches, the last one short.
+        config.fingerprint_bits = 127;
+        config.range_split = 3;
+        config.map_batch_reads = 7;
+        assert!(reads.len() > 2 * 7 && !reads.len().is_multiple_of(7));
+        run(&device, &host, &spill, &config, &reads).unwrap();
+
+        // The reference hashes each substring with whole-string Horner,
+        // not through the batch kernel.
+        let rk = RabinKarp::new(64);
+        let strands: Vec<Vec<u8>> = (0..reads.len())
+            .flat_map(|i| {
+                let read = reads.read(i);
+                [read.to_codes(), read.reverse_complement().to_codes()]
+            })
+            .collect();
+        for kind in [PartitionKind::Suffix, PartitionKind::Prefix] {
+            for l in 40..64usize {
+                let expect: Vec<KvPair> = strands
+                    .iter()
+                    .enumerate()
+                    .map(|(v, codes)| {
+                        let sub = match kind {
+                            PartitionKind::Suffix => &codes[64 - l..],
+                            PartitionKind::Prefix => &codes[..l],
+                        };
+                        KvPair::new(rk.fingerprint(sub) >> 1, v as u32)
+                    })
+                    .collect();
+                let mut filled = 0;
+                for r in 0..3 {
+                    let got = spill
+                        .reader_range(kind, l as u32, r, 3)
+                        .unwrap()
+                        .read_all()
+                        .unwrap();
+                    let want: Vec<KvPair> = expect
+                        .iter()
+                        .copied()
+                        .filter(|p| gstream::range_of(p.key, 3) == r)
+                        .collect();
+                    assert_eq!(got, want, "{kind:?} length {l} range {r}");
+                    filled += usize::from(!want.is_empty());
+                }
+                assert_eq!(filled, 2, "{kind:?} length {l}");
+            }
+        }
     }
 
     #[test]

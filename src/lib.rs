@@ -14,8 +14,9 @@
 //!   external sort;
 //! * [`genome`] — 2-bit packed sequences, FASTA/FASTQ, the shotgun
 //!   simulator, Table-I-scaled dataset presets;
-//! * [`fingerprint`] — Rabin-Karp prefix/suffix fingerprints via the
-//!   Hillis-Steele scan of the paper's Figs. 5-6;
+//! * [`fingerprint`] — Rabin-Karp prefix/suffix fingerprints: the
+//!   Hillis-Steele scan of the paper's Figs. 5-6 in the device model, an
+//!   O(n) equivalent on the CPU;
 //! * [`lasagna`] — the assembly pipeline itself: map / sort / reduce /
 //!   traverse, the greedy string graph, contig generation, reports;
 //! * [`dnet`] — the distributed implementation: active messages, master
